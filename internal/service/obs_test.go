@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"penelope/internal/experiments"
+	"penelope/internal/fleetops"
 	"penelope/internal/obs"
 )
 
@@ -122,6 +123,51 @@ func TestMetricsJSONGolden(t *testing.T) {
 	}
 	if string(body) != string(want) {
 		t.Fatalf("JSON metrics drifted from golden:\n got: %s\nwant: %s", body, want)
+	}
+}
+
+// TestPromFamiliesGolden pins the # HELP and # TYPE lines of a fully
+// wired server (disk store, alert sink, metric history, one SLO rule)
+// against a golden file, so every family name, type and help string
+// survives refactors of how the families are registered. Refresh with
+// go test ./internal/service -run TestPromFamiliesGolden -update.
+func TestPromFamiliesGolden(t *testing.T) {
+	_, ts := newTestServer(t, Config{
+		Workers:         2,
+		QueueDepth:      8,
+		DataDir:         t.TempDir(),
+		AlertSink:       &fleetops.FaultSink{},
+		HistoryInterval: time.Hour,
+		SLORules: []fleetops.SLORule{{
+			Name: "shed-ratio", Numerator: "penelope_jobs_shed_total",
+			Denominator: "penelope_jobs_submitted_total", Objective: 0.01,
+		}},
+	})
+
+	code, body, _ := get(t, ts.URL+"/metrics", nil)
+	if code != http.StatusOK {
+		t.Fatalf("GET /metrics: status %d", code)
+	}
+	var b strings.Builder
+	for _, line := range strings.Split(string(body), "\n") {
+		if strings.HasPrefix(line, "# HELP ") || strings.HasPrefix(line, "# TYPE ") {
+			b.WriteString(line)
+			b.WriteByte('\n')
+		}
+	}
+	got := b.String()
+	golden := filepath.Join("testdata", "prom_families_golden.txt")
+	if *updateGolden {
+		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("missing golden file (run with -update): %v", err)
+	}
+	if got != string(want) {
+		t.Fatalf("Prometheus families drifted from golden:\n got:\n%s\nwant:\n%s", got, want)
 	}
 }
 
