@@ -211,15 +211,11 @@ type Deliverer struct {
 	wg    sync.WaitGroup
 	brk   breaker
 
-	mu          sync.Mutex
-	closed      bool
-	enqueued    uint64
-	delivered   uint64
-	retries     uint64
-	deadTotal   uint64
-	dropped     uint64
-	breakerFast uint64
-	deadLetters []DeadLetter
+	mu     sync.Mutex
+	closed bool
+	// st holds the counters and retained dead letters; Stats fills in
+	// the rest.
+	st DeliveryStats
 }
 
 // NewDeliverer starts the pipeline's workers.
@@ -271,12 +267,12 @@ func (d *Deliverer) Enqueue(a Alert) bool {
 	if d.closed {
 		return false
 	}
-	d.enqueued++
+	d.st.Enqueued++
 	select {
 	case d.queue <- a:
 		return true
 	default:
-		d.dropped++
+		d.st.DroppedQueueFull++
 		return false
 	}
 }
@@ -308,7 +304,7 @@ func (d *Deliverer) deliver(a Alert) {
 	for attempt := 0; ; attempt++ {
 		if d.brk.admit(time.Now()) == breakerReject {
 			d.mu.Lock()
-			d.breakerFast++
+			d.st.BreakerFastFails++
 			d.mu.Unlock()
 			reason := "circuit breaker open"
 			if lastErr != nil {
@@ -325,7 +321,7 @@ func (d *Deliverer) deliver(a Alert) {
 		if err == nil {
 			d.brk.success()
 			d.mu.Lock()
-			d.delivered++
+			d.st.Delivered++
 			d.mu.Unlock()
 			return
 		}
@@ -336,7 +332,7 @@ func (d *Deliverer) deliver(a Alert) {
 			return
 		}
 		d.mu.Lock()
-		d.retries++
+		d.st.Retries++
 		d.mu.Unlock()
 		time.Sleep(d.backoff(a.ID, attempt))
 	}
@@ -358,21 +354,21 @@ func (d *Deliverer) backoff(id string, attempt int) time.Duration {
 func (d *Deliverer) deadLetter(a Alert, reason string) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.deadTotal++
-	d.deadLetters = append(d.deadLetters, DeadLetter{Alert: a, Reason: reason})
-	if len(d.deadLetters) > d.cfg.DeadLetterLimit {
-		d.deadLetters = d.deadLetters[len(d.deadLetters)-d.cfg.DeadLetterLimit:]
+	d.st.DeadLettered++
+	d.st.DeadLetters = append(d.st.DeadLetters, DeadLetter{Alert: a, Reason: reason})
+	if len(d.st.DeadLetters) > d.cfg.DeadLetterLimit {
+		d.st.DeadLetters = d.st.DeadLetters[len(d.st.DeadLetters)-d.cfg.DeadLetterLimit:]
 	}
 }
 
 // DeliveryStats is the alert-pipeline section of /metrics.
 type DeliveryStats struct {
 	Sink             string       `json:"sink"`
-	QueueDepth       int          `json:"queue_depth"`
+	QueueDepth       int          `json:"queue_depth" metric:"gauge penelope_alert_queue_depth" help:"Alert delivery queue depth."`
 	Enqueued         uint64       `json:"enqueued"`
-	Delivered        uint64       `json:"delivered"`
-	Retries          uint64       `json:"retries"`
-	DeadLettered     uint64       `json:"dead_lettered"`
+	Delivered        uint64       `json:"delivered" metric:"counter penelope_alert_delivered_total" help:"Alerts delivered to the sink."`
+	Retries          uint64       `json:"retries" metric:"counter penelope_alert_retries_total" help:"Alert delivery retries."`
+	DeadLettered     uint64       `json:"dead_lettered" metric:"counter penelope_alert_dead_lettered_total" help:"Alerts dead-lettered after exhausting retries."`
 	DroppedQueueFull uint64       `json:"dropped_queue_full"`
 	BreakerState     string       `json:"breaker_state"`
 	BreakerOpens     uint64       `json:"breaker_opens"`
@@ -389,19 +385,13 @@ func (d *Deliverer) Stats() DeliveryStats {
 	d.brk.mu.Unlock()
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return DeliveryStats{
-		Sink:             d.cfg.Sink.Name(),
-		QueueDepth:       len(d.queue),
-		Enqueued:         d.enqueued,
-		Delivered:        d.delivered,
-		Retries:          d.retries,
-		DeadLettered:     d.deadTotal,
-		DroppedQueueFull: d.dropped,
-		BreakerState:     d.brk.state(now),
-		BreakerOpens:     opens,
-		BreakerFastFails: d.breakerFast,
-		DeadLetters:      append([]DeadLetter(nil), d.deadLetters...),
-	}
+	st := d.st
+	st.Sink = d.cfg.Sink.Name()
+	st.QueueDepth = len(d.queue)
+	st.BreakerState = d.brk.state(now)
+	st.BreakerOpens = opens
+	st.DeadLetters = append([]DeadLetter(nil), d.st.DeadLetters...)
+	return st
 }
 
 // FaultSink is a deterministic fault-injecting Sink for tests and chaos
@@ -475,26 +465,63 @@ func unitHash(seed uint64, id string, n uint64) float64 {
 	return float64(x>>11) / (1 << 53)
 }
 
-// Alerter evaluates a registration's rules against each new epoch row
-// and fans fired alerts out: onto the bus (as "alert" events on the
-// fleet's topic) and into the delivery pipeline. Rules latch — a rule
-// instance fires when its condition first becomes true and re-arms when
-// the condition clears — so a sustained threshold crossing produces one
-// alert, not one per epoch.
-type Alerter struct {
+// latch is what the two alert evaluators — the epoch Alerter and the
+// SLOEngine — share: rule instances latch (one fires when its condition
+// first becomes true and re-arms when the condition clears, so a
+// sustained crossing produces one alert, not one per evaluation), the
+// evaluated/fired counts, and the fan-out of fired alerts onto the bus
+// and into the delivery pipeline.
+type latch struct {
 	bus       *Bus
 	deliverer *Deliverer
 
-	mu        sync.Mutex
-	latched   map[string]bool
-	evaluated uint64
-	fired     uint64
+	mu     sync.Mutex
+	on     map[string]bool // rule instance key -> active at its last evaluation
+	counts AlertStats
+}
+
+func newLatch(bus *Bus, deliverer *Deliverer) latch {
+	return latch{bus: bus, deliverer: deliverer, on: make(map[string]bool)}
+}
+
+// edge records one evaluation of rule instance key and reports whether
+// it fires now: active, and not active at the previous evaluation.
+// Callers hold mu.
+func (l *latch) edge(key string, active bool) bool {
+	l.counts.Evaluated++
+	was := l.on[key]
+	l.on[key] = active
+	if !active || was {
+		return false
+	}
+	l.counts.Fired++
+	return true
+}
+
+// fanout publishes fired alerts as "alert" events on topic and hands
+// them to the delivery pipeline. Callers do not hold mu.
+func (l *latch) fanout(topic string, fired []Alert) {
+	for _, a := range fired {
+		if l.bus != nil {
+			l.bus.Publish(topic, "alert", a)
+		}
+		if l.deliverer != nil {
+			l.deliverer.Enqueue(a)
+		}
+	}
+}
+
+// Alerter evaluates a registration's rules against each new epoch row,
+// latches them, and fans fired alerts out onto the fleet's bus topic
+// and into the delivery pipeline.
+type Alerter struct {
+	latch
 }
 
 // NewAlerter wires the evaluator to an optional bus and optional
 // delivery pipeline.
 func NewAlerter(bus *Bus, deliverer *Deliverer) *Alerter {
-	return &Alerter{bus: bus, deliverer: deliverer, latched: make(map[string]bool)}
+	return &Alerter{latch: newLatch(bus, deliverer)}
 }
 
 // Observe evaluates one fleet epoch row. prev is the previous row's
@@ -553,13 +580,9 @@ func (al *Alerter) Observe(fleet string, rules AlertRules, det *DeviationDetecto
 	var fired []Alert
 	al.mu.Lock()
 	for _, c := range cands {
-		al.evaluated++
-		was := al.latched[c.latchKey]
-		al.latched[c.latchKey] = c.active
-		if !c.active || was {
+		if !al.edge(c.latchKey, c.active) {
 			continue
 		}
-		al.fired++
 		a := Alert{
 			Fleet:     fleet,
 			Rule:      c.rule,
@@ -577,26 +600,19 @@ func (al *Alerter) Observe(fleet string, rules AlertRules, det *DeviationDetecto
 		fired = append(fired, a)
 	}
 	al.mu.Unlock()
-	for _, a := range fired {
-		if al.bus != nil {
-			al.bus.Publish(fleetTopic(fleet), "alert", a)
-		}
-		if al.deliverer != nil {
-			al.deliverer.Enqueue(a)
-		}
-	}
+	al.fanout(fleetTopic(fleet), fired)
 	return fired
 }
 
 // AlertStats is the rule-evaluation section of /metrics.
 type AlertStats struct {
-	Evaluated uint64 `json:"evaluated"`
-	Fired     uint64 `json:"fired"`
+	Evaluated uint64 `json:"evaluated" metric:"counter penelope_alerts_evaluated_total" help:"Alert rule evaluations."`
+	Fired     uint64 `json:"fired" metric:"counter penelope_alerts_fired_total" help:"Alerts fired."`
 }
 
 // Stats returns evaluation counters.
 func (al *Alerter) Stats() AlertStats {
 	al.mu.Lock()
 	defer al.mu.Unlock()
-	return AlertStats{Evaluated: al.evaluated, Fired: al.fired}
+	return al.counts
 }

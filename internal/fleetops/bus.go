@@ -29,10 +29,9 @@ type Bus struct {
 	mu      sync.Mutex
 	topics  map[string]*topic
 	history int
+	st      BusStats // Published and Dropped; Stats fills in the rest
 
-	published atomic.Uint64
-	dropped   atomic.Uint64
-	ins       atomic.Pointer[Instruments]
+	ins atomic.Pointer[Instruments]
 }
 
 type topic struct {
@@ -125,13 +124,13 @@ func (b *Bus) Publish(topicName, eventType string, data any) (Event, error) {
 		t.ring[t.head] = ev
 		t.head = (t.head + 1) % len(t.ring)
 	}
-	b.published.Add(1)
+	b.st.Published++
 	for sub := range t.subs {
 		select {
 		case sub.ch <- ev:
 		default:
 			sub.dropped.Add(1)
-			b.dropped.Add(1)
+			b.st.Dropped++
 		}
 	}
 	return ev, nil
@@ -220,21 +219,18 @@ func (s *Subscription) Close() {
 
 // BusStats is the bus section of /metrics.
 type BusStats struct {
-	Topics      int    `json:"topics"`
-	Subscribers int    `json:"subscribers"`
-	Published   uint64 `json:"published"`
-	Dropped     uint64 `json:"dropped"`
+	Topics      int    `json:"topics" metric:"gauge penelope_bus_topics" help:"Event bus topics."`
+	Subscribers int    `json:"subscribers" metric:"gauge penelope_bus_subscribers" help:"Event bus subscriptions."`
+	Published   uint64 `json:"published" metric:"counter penelope_bus_published_total" help:"Events published on the bus."`
+	Dropped     uint64 `json:"dropped" metric:"counter penelope_bus_dropped_total" help:"Events dropped by full subscriber buffers."`
 }
 
 // Stats returns a point-in-time snapshot.
 func (b *Bus) Stats() BusStats {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	st := BusStats{
-		Topics:    len(b.topics),
-		Published: b.published.Load(),
-		Dropped:   b.dropped.Load(),
-	}
+	st := b.st
+	st.Topics = len(b.topics)
 	for _, t := range b.topics {
 		st.Subscribers += len(t.subs)
 	}

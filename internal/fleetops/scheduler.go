@@ -125,20 +125,20 @@ type Status struct {
 
 // Stats is the scheduler section of /metrics.
 type Stats struct {
-	Populations      int    `json:"populations"`
-	Active           int    `json:"active"`
-	Quarantined      int    `json:"quarantined"`
+	Populations      int    `json:"populations" metric:"gauge penelope_fleet_populations" help:"Registered fleet populations."`
+	Active           int    `json:"active" metric:"gauge penelope_fleet_active" help:"Fleet populations currently active."`
+	Quarantined      int    `json:"quarantined" metric:"gauge penelope_fleet_quarantined" help:"Fleet populations currently quarantined."`
 	Done             int    `json:"done"`
 	Resumed          int    `json:"resumed"`
-	Ticks            uint64 `json:"ticks"`
-	TickFailures     uint64 `json:"tick_failures"`
-	WatchdogTimeouts uint64 `json:"watchdog_timeouts"`
+	Ticks            uint64 `json:"ticks" metric:"counter penelope_fleet_ticks_total" help:"Fleet scheduler ticks completed."`
+	TickFailures     uint64 `json:"tick_failures" metric:"counter penelope_fleet_tick_failures_total" help:"Fleet ticks that failed."`
+	WatchdogTimeouts uint64 `json:"watchdog_timeouts" metric:"counter penelope_fleet_watchdog_timeouts_total" help:"Fleet ticks cancelled by the watchdog."`
 	Quarantines      uint64 `json:"quarantines"`
 	// CheckpointFailures counts fleet checkpoint writes the storage
 	// refused or failed. The fleet keeps aging in memory — the failure
 	// only widens how far a restart would rewind it, which is exactly
 	// why it must be visible rather than swallowed.
-	CheckpointFailures uint64 `json:"checkpoint_failures"`
+	CheckpointFailures uint64 `json:"checkpoint_failures" metric:"counter penelope_fleet_checkpoint_failures_total" help:"Fleet checkpoint writes refused or failed."`
 }
 
 // Scheduler keeps registered populations aging. Each population runs
@@ -327,9 +327,9 @@ func (s *Scheduler) Stats() Stats {
 // completed epoch. Fleets reports how many populations contributed.
 type GuardbandSummary struct {
 	Fleets           int     `json:"fleets"`
-	P99Guardband     float64 `json:"p99_guardband"`
-	MeanGuardband    float64 `json:"mean_guardband"`
-	ViolatedFraction float64 `json:"violated_fraction"`
+	P99Guardband     float64 `json:"p99_guardband" metric:"gauge penelope_fleet_p99_guardband" help:"Worst p99 guardband across scheduled populations."`
+	MeanGuardband    float64 `json:"mean_guardband" metric:"gauge penelope_fleet_mean_guardband" help:"Worst mean guardband across scheduled populations."`
+	ViolatedFraction float64 `json:"violated_fraction" metric:"gauge penelope_fleet_violated_fraction" help:"Worst guardband-violation fraction across scheduled populations."`
 }
 
 // Guardband aggregates the latest epoch rows into the worst-case

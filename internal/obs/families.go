@@ -34,18 +34,10 @@ func (r *Registry) Families(fn func(FamilyInfo)) {
 		switch f.kind {
 		case kindCounter:
 			info.Kind = KindCounter
-			if f.counter != nil {
-				info.ReadCounter = f.counter.Value
-			} else {
-				info.ReadCounter = f.counterFn
-			}
+			info.ReadCounter = f.counterFn
 		case kindGauge:
 			info.Kind = KindGauge
-			if f.gauge != nil {
-				info.ReadGauge = f.gauge.Value
-			} else {
-				info.ReadGauge = f.gaugeFn
-			}
+			info.ReadGauge = f.gaugeFn
 		case kindHistogram:
 			info.Kind = KindHistogram
 			info.Hist = f.hist

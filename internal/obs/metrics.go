@@ -292,15 +292,15 @@ const (
 	kindHistogram
 )
 
-// family is one named metric family in a registry.
+// family is one named metric family in a registry. Counters and
+// gauges are read through counterFn/gaugeFn, whether the registry owns
+// the instrument or reads a value that lives elsewhere.
 type family struct {
 	name, help string
 	kind       kind
 	labels     []Label // constant labels (GaugeConst); nil for everything else
 
-	counter   *Counter
 	counterFn func() uint64
-	gauge     *Gauge
 	gaugeFn   func() float64
 	hist      *Histogram
 	vec       *HistogramVec
@@ -363,7 +363,7 @@ func (r *Registry) Version() uint64 { return r.version.Load() }
 // Counter registers and returns a new counter.
 func (r *Registry) Counter(name, help string) *Counter {
 	c := &Counter{}
-	r.register(&family{name: name, help: help, kind: kindCounter, counter: c})
+	r.register(&family{name: name, help: help, kind: kindCounter, counterFn: c.Value})
 	return c
 }
 
@@ -377,7 +377,7 @@ func (r *Registry) CounterFunc(name, help string, fn func() uint64) {
 // Gauge registers and returns a new gauge.
 func (r *Registry) Gauge(name, help string) *Gauge {
 	g := &Gauge{}
-	r.register(&family{name: name, help: help, kind: kindGauge, gauge: g})
+	r.register(&family{name: name, help: help, kind: kindGauge, gaugeFn: g.Value})
 	return g
 }
 

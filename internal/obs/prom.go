@@ -19,28 +19,16 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		writeHeader(bw, f)
 		switch f.kind {
 		case kindCounter:
-			v := uint64(0)
-			if f.counter != nil {
-				v = f.counter.Value()
-			} else if f.counterFn != nil {
-				v = f.counterFn()
-			}
 			bw.WriteString(f.name)
 			writeConstLabels(bw, f.labels)
 			bw.WriteByte(' ')
-			bw.WriteString(strconv.FormatUint(v, 10))
+			bw.WriteString(strconv.FormatUint(f.counterFn(), 10))
 			bw.WriteByte('\n')
 		case kindGauge:
-			v := 0.0
-			if f.gauge != nil {
-				v = f.gauge.Value()
-			} else if f.gaugeFn != nil {
-				v = f.gaugeFn()
-			}
 			bw.WriteString(f.name)
 			writeConstLabels(bw, f.labels)
 			bw.WriteByte(' ')
-			bw.WriteString(formatFloat(v))
+			bw.WriteString(formatFloat(f.gaugeFn()))
 			bw.WriteByte('\n')
 		case kindHistogram:
 			if f.hist != nil {

@@ -1,46 +1,29 @@
 package obs
 
-import (
-	"runtime"
-	"sync"
-	"time"
-)
+import "runtime"
 
-// runtimeSampler caches runtime.ReadMemStats behind a short TTL so one
-// scrape hitting several gauges pays for a single stop-the-world read.
-type runtimeSampler struct {
-	mu   sync.Mutex
-	last time.Time
-	ms   runtime.MemStats
-}
-
-func (rs *runtimeSampler) read() runtime.MemStats {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	if now := time.Now(); now.Sub(rs.last) > 100*time.Millisecond {
-		runtime.ReadMemStats(&rs.ms)
-		rs.last = now
-	}
-	return rs.ms
+// runtimeStats are the Go runtime gauges (goroutines, heap, GC).
+type runtimeStats struct {
+	Goroutines  int     `metric:"gauge penelope_goroutines" help:"Number of live goroutines."`
+	HeapAlloc   uint64  `metric:"gauge penelope_heap_alloc_bytes" help:"Bytes of allocated heap objects."`
+	HeapObjects uint64  `metric:"gauge penelope_heap_objects" help:"Number of allocated heap objects."`
+	NumGC       uint32  `metric:"counter penelope_gc_runs_total" help:"Completed GC cycles since process start."`
+	PauseTotal  float64 `metric:"gauge penelope_gc_pause_total_seconds" help:"Cumulative GC stop-the-world pause time in seconds."`
 }
 
 // RegisterRuntimeMetrics adds Go runtime gauges (goroutines, heap, GC)
-// to a registry.
+// to a registry. One runtime.ReadMemStats serves every family of a
+// scrape.
 func RegisterRuntimeMetrics(r *Registry) {
-	rs := &runtimeSampler{}
-	r.GaugeFunc("penelope_goroutines",
-		"Number of live goroutines.",
-		func() float64 { return float64(runtime.NumGoroutine()) })
-	r.GaugeFunc("penelope_heap_alloc_bytes",
-		"Bytes of allocated heap objects.",
-		func() float64 { return float64(rs.read().HeapAlloc) })
-	r.GaugeFunc("penelope_heap_objects",
-		"Number of allocated heap objects.",
-		func() float64 { return float64(rs.read().HeapObjects) })
-	r.CounterFunc("penelope_gc_runs_total",
-		"Completed GC cycles since process start.",
-		func() uint64 { return uint64(rs.read().NumGC) })
-	r.GaugeFunc("penelope_gc_pause_total_seconds",
-		"Cumulative GC stop-the-world pause time in seconds.",
-		func() float64 { return float64(rs.read().PauseTotalNs) / 1e9 })
+	RegisterStats(r, func() runtimeStats {
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return runtimeStats{
+			Goroutines:  runtime.NumGoroutine(),
+			HeapAlloc:   ms.HeapAlloc,
+			HeapObjects: ms.HeapObjects,
+			NumGC:       ms.NumGC,
+			PauseTotal:  float64(ms.PauseTotalNs) / 1e9,
+		}
+	})
 }

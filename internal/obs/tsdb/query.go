@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 	"time"
 
@@ -528,17 +527,4 @@ func (db *DB) Slope(name string, window time.Duration, now time.Time) (float64, 
 		return 0, false
 	}
 	return num / den, true
-}
-
-// SeriesNames lists every flat series currently held (live or loaded),
-// sorted — a debugging aid surfaced next to Names.
-func (db *DB) SeriesNames() []string {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	out := make([]string, 0, len(db.series))
-	for name := range db.series {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
 }

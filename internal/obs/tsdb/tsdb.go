@@ -181,17 +181,17 @@ type blockInfo struct {
 // atomics so exporting them as registry families never re-enters the
 // DB mutex mid-sample.
 type Stats struct {
-	Series            int    `json:"series"`
-	Samples           uint64 `json:"samples"`
-	Points            uint64 `json:"points"`
-	Blocks            int    `json:"blocks"`
-	BlockBytes        int64  `json:"block_bytes"`
-	BlocksWritten     uint64 `json:"blocks_written"`
+	Series            int    `json:"series" metric:"gauge penelope_tsdb_series" help:"Flat series the metric history tracks."`
+	Samples           uint64 `json:"samples" metric:"counter penelope_tsdb_samples_total" help:"Registry sampling passes completed."`
+	Points            uint64 `json:"points" metric:"counter penelope_tsdb_points_total" help:"Raw points appended to the history."`
+	Blocks            int    `json:"blocks" metric:"gauge penelope_tsdb_blocks" help:"Persisted history blocks on disk."`
+	BlockBytes        int64  `json:"block_bytes" metric:"gauge penelope_tsdb_block_bytes" help:"Total persisted history block bytes."`
+	BlocksWritten     uint64 `json:"blocks_written" metric:"counter penelope_tsdb_blocks_written_total" help:"History blocks flushed to disk."`
 	BlocksLoaded      uint64 `json:"blocks_loaded"`
-	BlocksQuarantined uint64 `json:"blocks_quarantined"`
-	BlocksDeleted     uint64 `json:"blocks_deleted"`
-	FlushFailures     uint64 `json:"flush_failures"`
-	ScrubPasses       uint64 `json:"scrub_passes"`
+	BlocksQuarantined uint64 `json:"blocks_quarantined" metric:"counter penelope_tsdb_blocks_quarantined_total" help:"Corrupt history blocks set aside instead of loaded."`
+	BlocksDeleted     uint64 `json:"blocks_deleted" metric:"counter penelope_tsdb_blocks_deleted_total" help:"History blocks deleted by retention or the disk budget."`
+	FlushFailures     uint64 `json:"flush_failures" metric:"counter penelope_tsdb_flush_failures_total" help:"History block flushes that failed (samples retry in the next flush)."`
+	ScrubPasses       uint64 `json:"scrub_passes" metric:"counter penelope_tsdb_scrub_passes_total" help:"Background history scrub passes completed."`
 }
 
 // DB is the embedded time-series store.
@@ -487,7 +487,7 @@ func (db *DB) Close() {
 }
 
 // Stats assembles the counter section from atomics — no DB mutex, so
-// the registry families mirroring it are safe to read mid-sample.
+// the registry families its tags define are safe to read mid-sample.
 func (db *DB) Stats() Stats {
 	return Stats{
 		Series:            int(db.nSeries.Load()),

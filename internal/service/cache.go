@@ -55,14 +55,14 @@ func (e *Entry) Ready() bool {
 // CacheStats are the cache counters the /metrics endpoint reports.
 type CacheStats struct {
 	// Entries is the number of completed results held.
-	Entries int `json:"entries"`
+	Entries int `json:"entries" metric:"gauge penelope_cache_entries" help:"Completed results held in the in-memory cache."`
 	// Hits counts requests served from a completed entry.
-	Hits uint64 `json:"hits"`
+	Hits uint64 `json:"hits" metric:"counter penelope_cache_hits_total" help:"Requests served from a completed cache entry."`
 	// Misses counts requests that had to run the simulation.
-	Misses uint64 `json:"misses"`
+	Misses uint64 `json:"misses" metric:"counter penelope_cache_misses_total" help:"Requests that had to run the simulation."`
 	// InflightDedups counts requests that attached to a simulation
 	// another request had already started.
-	InflightDedups uint64 `json:"inflight_dedups"`
+	InflightDedups uint64 `json:"inflight_dedups" metric:"counter penelope_cache_inflight_dedups_total" help:"Requests that attached to an already-running simulation."`
 }
 
 // Cache is the content-addressed result cache. Acquire is the only

@@ -4,9 +4,11 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -204,6 +206,59 @@ func TestFleetEventStreamNDJSONResume(t *testing.T) {
 	}
 }
 
+// sseFrame is one parsed server-sent event.
+type sseFrame struct{ id, event, data string }
+
+// openSSE opens an SSE stream, resuming past lastEventID when it is set.
+// It returns once the server has subscribed and sent its headers.
+func openSSE(t *testing.T, url, lastEventID string) *http.Response {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
+	t.Cleanup(cancel)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lastEventID != "" {
+		req.Header.Set("Last-Event-ID", lastEventID)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
+		resp.Body.Close()
+		t.Fatalf("Content-Type = %q", ct)
+	}
+	return resp
+}
+
+// readSSE reads frames until the server ends the stream.
+func readSSE(t *testing.T, resp *http.Response) []sseFrame {
+	t.Helper()
+	defer resp.Body.Close()
+	var frames []sseFrame
+	var cur sseFrame
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		line := sc.Text()
+		switch {
+		case line == "":
+			if cur != (sseFrame{}) {
+				frames = append(frames, cur)
+				cur = sseFrame{}
+			}
+		case strings.HasPrefix(line, "id: "):
+			cur.id = strings.TrimPrefix(line, "id: ")
+		case strings.HasPrefix(line, "event: "):
+			cur.event = strings.TrimPrefix(line, "event: ")
+		case strings.HasPrefix(line, "data: "):
+			cur.data = strings.TrimPrefix(line, "data: ")
+		}
+	}
+	return frames
+}
+
 // TestFleetEventStreamSSE checks the SSE framing: id/event/data lines
 // per frame, with the sequence number as the resumable id, honoring the
 // Last-Event-ID request header.
@@ -215,51 +270,125 @@ func TestFleetEventStreamSSE(t *testing.T) {
 	// Let a couple of epochs accumulate in the history ring.
 	waitForStatus(t, ts.URL, "pop", func(st fleetops.Status) bool { return st.Epoch >= 2 })
 
-	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL+"/v1/fleets/pop/events?max=2", nil)
-	if err != nil {
-		t.Fatal(err)
+	// Last-Event-ID 1 skips the registration state event.
+	frames := readSSE(t, openSSE(t, ts.URL+"/v1/fleets/pop/events?max=2", "1"))
+	if len(frames) != 2 {
+		t.Fatalf("frames = %+v, want 2", frames)
 	}
-	req.Header.Set("Last-Event-ID", "1") // skip the registration state event
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
-		t.Fatalf("Content-Type = %q", ct)
-	}
-
-	sc := bufio.NewScanner(resp.Body)
-	var ids, types, datas []string
-	for sc.Scan() {
-		line := sc.Text()
-		switch {
-		case strings.HasPrefix(line, "id: "):
-			ids = append(ids, strings.TrimPrefix(line, "id: "))
-		case strings.HasPrefix(line, "event: "):
-			types = append(types, strings.TrimPrefix(line, "event: "))
-		case strings.HasPrefix(line, "data: "):
-			datas = append(datas, strings.TrimPrefix(line, "data: "))
+	for _, f := range frames {
+		if f.id == "" || f.event == "" || f.data == "" {
+			t.Fatalf("incomplete frame %+v", f)
 		}
 	}
-	if len(ids) != 2 || len(types) != 2 || len(datas) != 2 {
-		t.Fatalf("frames = %v / %v / %v, want 2 complete frames", ids, types, datas)
+	if frames[0].id != "2" {
+		t.Fatalf("first frame id = %s, want 2 (Last-Event-ID resume past seq 1)", frames[0].id)
 	}
-	if ids[0] != "2" {
-		t.Fatalf("first frame id = %s, want 2 (Last-Event-ID resume past seq 1)", ids[0])
-	}
-	if types[0] != "epoch" {
-		t.Fatalf("first frame type = %s, want epoch", types[0])
+	if frames[0].event != "epoch" {
+		t.Fatalf("first frame type = %s, want epoch", frames[0].event)
 	}
 	var ev fleetops.Event
-	if err := json.Unmarshal([]byte(datas[0]), &ev); err != nil {
+	if err := json.Unmarshal([]byte(frames[0].data), &ev); err != nil {
 		t.Fatalf("frame data not JSON: %v", err)
 	}
 	if ev.Seq != 2 || ev.Topic != "fleet/pop" {
 		t.Fatalf("frame payload = %+v", ev)
 	}
+}
+
+// TestSweepEventStreamSSE follows a sweep live over SSE: the stream is
+// open before any point runs, delivers one "point" frame per grid point
+// and closes the sweep with a "done" frame.
+func TestSweepEventStreamSSE(t *testing.T) {
+	gate := make(chan struct{})
+	_, ts := newTestServer(t, Config{
+		Workers: 1,
+		Runner: func(_ context.Context, experiment string, o experiments.Options) (experiments.Result, error) {
+			<-gate
+			return fakeResult{Name: experiment, N: o.TraceLength}, nil
+		},
+	})
+	var resp struct {
+		SweepID string `json:"sweep_id"`
+		Events  string `json:"events"`
+	}
+	body := `{"experiments":["fig5"],"trace_lengths":[3000,4000],"trace_strides":[60]}`
+	if code := postJSON(t, ts.URL+"/v1/sweeps", body, &resp); code != http.StatusAccepted {
+		close(gate)
+		t.Fatalf("sweep: status %d", code)
+	}
+	stream := openSSE(t, ts.URL+resp.Events+"?max=3", "")
+	close(gate)
+	frames := readSSE(t, stream)
+
+	if len(frames) != 3 {
+		t.Fatalf("frames = %+v, want 2 points and done", frames)
+	}
+	for i, want := range []string{"point", "point", "done"} {
+		if frames[i].event != want || frames[i].id != strconv.Itoa(i+1) {
+			t.Fatalf("frame %d = id %s event %s, want id %d event %s", i, frames[i].id, frames[i].event, i+1, want)
+		}
+		var ev fleetops.Event
+		if err := json.Unmarshal([]byte(frames[i].data), &ev); err != nil {
+			t.Fatalf("frame %d data not JSON: %v", i, err)
+		}
+		if ev.Topic != "sweep/"+resp.SweepID {
+			t.Fatalf("frame %d topic = %s", i, ev.Topic)
+		}
+		if want == "point" {
+			var job Job
+			if err := json.Unmarshal(ev.Data, &job); err != nil || job.State != StateDone || job.SweepID != resp.SweepID {
+				t.Fatalf("point %d = %+v (%v)", i, job, err)
+			}
+			continue
+		}
+		var done struct {
+			Total  int `json:"total"`
+			Failed int `json:"failed"`
+		}
+		if err := json.Unmarshal(ev.Data, &done); err != nil || done.Total != 2 || done.Failed != 0 {
+			t.Fatalf("done = %+v (%v)", done, err)
+		}
+	}
+	if code := getJSON(t, ts.URL+"/v1/sweeps/nope/events", nil); code != http.StatusNotFound {
+		t.Fatalf("unknown sweep SSE stream: status %d, want 404", code)
+	}
+}
+
+// TestRegisterFleetProgrammatic drives Server.RegisterFleet the way the
+// CLI's -fleet-config boot path does: a fresh registration is admitted
+// and served over HTTP, a bad one is refused, and after a restart over
+// the same data dir the sidecar has already resumed the fleet, so
+// registering it again reports fleetops.ErrExists.
+func TestRegisterFleetProgrammatic(t *testing.T) {
+	cfg := fastFleetConfig(testFleetBuilder(1))
+	cfg.DataDir = t.TempDir()
+	s, ts := newTestServer(t, cfg)
+
+	st, err := s.RegisterFleet(fleetops.Registration{Name: "boot-pop"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Name != "boot-pop" || st.State != fleetops.StateActive {
+		t.Fatalf("registered status = %+v", st)
+	}
+	if _, ok := s.FleetStatus("boot-pop"); !ok {
+		t.Fatal("registered fleet has no status")
+	}
+	waitForStatus(t, ts.URL, "boot-pop", func(st fleetops.Status) bool { return st.Epoch >= 1 })
+	if _, err := s.RegisterFleet(fleetops.Registration{Name: "boot-pop"}); !errors.Is(err, fleetops.ErrExists) {
+		t.Fatalf("duplicate registration: err = %v, want ErrExists", err)
+	}
+	if _, err := s.RegisterFleet(fleetops.Registration{Name: "../escape"}); err == nil || errors.Is(err, fleetops.ErrExists) {
+		t.Fatalf("invalid registration: err = %v, want a validation error", err)
+	}
+	ts.Close()
+	s.Close()
+
+	s2, ts2 := newTestServer(t, cfg)
+	if _, err := s2.RegisterFleet(fleetops.Registration{Name: "boot-pop"}); !errors.Is(err, fleetops.ErrExists) {
+		t.Fatalf("re-registration after restart: err = %v, want ErrExists", err)
+	}
+	waitForStatus(t, ts2.URL, "boot-pop", func(st fleetops.Status) bool { return st.Resumed })
 }
 
 // TestSweepEventStream checks sweeps publish per-point events plus a

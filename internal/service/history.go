@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"penelope/internal/fleetops"
+	"penelope/internal/obs"
 	"penelope/internal/obs/tsdb"
 )
 
@@ -24,7 +25,7 @@ import (
 var dashboardHTML []byte
 
 // initHistory opens the time-series store, builds the SLO engine from
-// the configured rules, registers the history's own families, and
+// the configured rules, registers the history's own stats, and
 // starts the sampling loop. Called after initFleetops so SLO breaches
 // can ride the same bus and delivery pipeline as fleet alerts.
 func (s *Server) initHistory() error {
@@ -57,39 +58,12 @@ func (s *Server) initHistory() error {
 		}
 		s.slo = eng
 	}
-	s.registerHistoryMetrics()
+	// tsdb.Stats reads only atomics, so the sampler reading these
+	// families mid-Sample (under the store's own lock) cannot deadlock.
+	obs.RegisterStats(s.obs.reg, db.Stats)
 	s.historyWG.Add(1)
 	go s.historyLoop()
 	return nil
-}
-
-// registerHistoryMetrics mirrors the history's bookkeeping as metric
-// families. tsdb.Stats reads only atomics, so the sampler reading these
-// gauges mid-Sample (while it holds the store's own lock) cannot
-// deadlock.
-func (s *Server) registerHistoryMetrics() {
-	reg := s.obs.reg
-	hs := s.history.Stats
-	reg.GaugeFunc("penelope_tsdb_series", "Flat series the metric history tracks.",
-		func() float64 { return float64(hs().Series) })
-	reg.GaugeFunc("penelope_tsdb_blocks", "Persisted history blocks on disk.",
-		func() float64 { return float64(hs().Blocks) })
-	reg.GaugeFunc("penelope_tsdb_block_bytes", "Total persisted history block bytes.",
-		func() float64 { return float64(hs().BlockBytes) })
-	reg.CounterFunc("penelope_tsdb_samples_total", "Registry sampling passes completed.",
-		func() uint64 { return hs().Samples })
-	reg.CounterFunc("penelope_tsdb_points_total", "Raw points appended to the history.",
-		func() uint64 { return hs().Points })
-	reg.CounterFunc("penelope_tsdb_blocks_written_total", "History blocks flushed to disk.",
-		func() uint64 { return hs().BlocksWritten })
-	reg.CounterFunc("penelope_tsdb_blocks_quarantined_total", "Corrupt history blocks set aside instead of loaded.",
-		func() uint64 { return hs().BlocksQuarantined })
-	reg.CounterFunc("penelope_tsdb_blocks_deleted_total", "History blocks deleted by retention or the disk budget.",
-		func() uint64 { return hs().BlocksDeleted })
-	reg.CounterFunc("penelope_tsdb_flush_failures_total", "History block flushes that failed (samples retry in the next flush).",
-		func() uint64 { return hs().FlushFailures })
-	reg.CounterFunc("penelope_tsdb_scrub_passes_total", "Background history scrub passes completed.",
-		func() uint64 { return hs().ScrubPasses })
 }
 
 // historyLoop samples the registry and evaluates SLO rules on the

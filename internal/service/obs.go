@@ -5,7 +5,6 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"penelope/internal/fleetops"
@@ -28,8 +27,9 @@ const httpLatencyFamily = "penelope_http_request_seconds"
 
 // serverObs bundles the service tier's own instruments. The registry
 // also carries the store and fleetops families (registered by their
-// NewInstruments constructors) and mirrors of the JSON counters via
-// CounterFunc/GaugeFunc, so one scrape sees the whole process.
+// NewInstruments constructors) and every tagged stats struct behind the
+// JSON payload (obs.RegisterStats), so one scrape sees the whole
+// process.
 type serverObs struct {
 	reg    *obs.Registry
 	tracer *obs.Tracer
@@ -40,34 +40,11 @@ type serverObs struct {
 	runSeconds  *obs.HistogramVec // runner latency by experiment
 }
 
-// cached wraps a stats snapshot function with a small TTL so one
-// Prometheus scrape reading several families from the same source
-// (store.Stats walks directories, Deliverer.Stats copies dead letters)
-// pays for one snapshot, not one per family.
-func cached[T any](ttl time.Duration, fn func() T) func() T {
-	var mu sync.Mutex
-	var at time.Time
-	var v T
-	return func() T {
-		mu.Lock()
-		defer mu.Unlock()
-		if at.IsZero() || time.Since(at) > ttl {
-			v = fn()
-			at = time.Now()
-		}
-		return v
-	}
-}
-
-// statsCacheTTL bounds staleness of snapshot-backed families within a
-// scrape; small enough that tests polling after an action still see it.
-const statsCacheTTL = 100 * time.Millisecond
-
 // initObs builds the registry and tracer and registers the service
 // tier's families. It runs before the store opens and before
 // initFleetops, so those layers can hang their instruments on the same
-// registry; store- and fleet-stat mirrors are registered later, once
-// the objects they read exist.
+// registry; store and fleet stats are registered later, once the
+// objects they read exist.
 func (s *Server) initObs() {
 	reg := obs.NewRegistry()
 	o := &serverObs{
@@ -84,47 +61,9 @@ func (s *Server) initObs() {
 	}
 	s.obs = o
 
-	lockedU64 := func(f func() uint64) func() uint64 {
-		return func() uint64 {
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			return f()
-		}
-	}
-	reg.CounterFunc("penelope_jobs_submitted_total", "Jobs ever submitted (including cache hits and rejected leaders).",
-		lockedU64(func() uint64 { return s.nextID }))
-	reg.CounterFunc("penelope_jobs_done_total", "Jobs finished successfully.",
-		lockedU64(func() uint64 { return s.done }))
-	reg.CounterFunc("penelope_jobs_failed_total", "Jobs finished with an error.",
-		lockedU64(func() uint64 { return s.failed }))
-	reg.CounterFunc("penelope_jobs_rejected_total", "Submissions dropped because the queue was full.",
-		lockedU64(func() uint64 { return s.rejected }))
-	reg.CounterFunc("penelope_jobs_throttled_total", "Submissions rejected by per-client rate limiting.",
-		lockedU64(func() uint64 { return s.throttled }))
-	reg.CounterFunc("penelope_jobs_retries_total", "Transient-failure retry attempts.",
-		lockedU64(func() uint64 { return s.retries }))
-	reg.CounterFunc("penelope_jobs_panics_recovered_total", "Driver panics recovered into failed jobs.",
-		lockedU64(func() uint64 { return s.panics }))
-	reg.CounterFunc("penelope_jobs_timeouts_total", "Jobs failed by the per-job timeout.",
-		lockedU64(func() uint64 { return s.timeouts }))
-	reg.CounterFunc("penelope_jobs_resumed_total", "Interrupted jobs resubmitted at boot.",
-		lockedU64(func() uint64 { return s.resumed }))
-	reg.CounterFunc("penelope_jobs_shed_total", "Submissions dropped by progressive load shedding.",
-		s.backoff.shedCount)
-	reg.CounterFunc("penelope_untracked_clients_total", "Requests attributed to the ~other cell because the per-client counter map was full.",
-		lockedU64(func() uint64 { return s.untracked }))
-	lockedGauge := func(f func() float64) func() float64 {
-		return func() float64 {
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			return f()
-		}
-	}
-	reg.GaugeFunc("penelope_jobs_queued", "Jobs currently queued.",
-		lockedGauge(func() float64 { return float64(s.queued) }))
-	reg.GaugeFunc("penelope_jobs_running", "Jobs currently running.",
-		lockedGauge(func() float64 { return float64(s.running) }))
-
+	obs.RegisterStats(reg, s.jobStats)
+	obs.RegisterStats(reg, s.queueStatus)
+	obs.RegisterStats(reg, s.cache.Stats)
 	obs.RegisterBuildInfo(reg, *s.cfg.BuildInfo)
 	reg.CounterFunc("penelope_uptime_seconds", "Whole seconds since the server started.",
 		func() uint64 { return uint64(time.Since(s.started).Seconds()) })
@@ -132,113 +71,7 @@ func (s *Server) initObs() {
 		"Retry-After the shed estimator would attach to a rejected submission right now.",
 		func() float64 { return s.backoff.retryAfter(s.pool.queueDepth(), s.cfg.Workers).Seconds() })
 
-	reg.GaugeFunc("penelope_queue_depth", "Fair-pool queued tasks.",
-		func() float64 { return float64(s.pool.queueDepth()) })
-	reg.GaugeFunc("penelope_queue_capacity", "Fair-pool queue bound.",
-		func() float64 { return float64(s.cfg.QueueDepth) })
-	reg.GaugeFunc("penelope_workers", "Worker pool size.",
-		func() float64 { return float64(s.cfg.Workers) })
-
-	cacheStats := cached(statsCacheTTL, s.cache.Stats)
-	reg.GaugeFunc("penelope_cache_entries", "Completed results held in the in-memory cache.",
-		func() float64 { return float64(cacheStats().Entries) })
-	reg.CounterFunc("penelope_cache_hits_total", "Requests served from a completed cache entry.",
-		func() uint64 { return cacheStats().Hits })
-	reg.CounterFunc("penelope_cache_misses_total", "Requests that had to run the simulation.",
-		func() uint64 { return cacheStats().Misses })
-	reg.CounterFunc("penelope_cache_inflight_dedups_total", "Requests that attached to an already-running simulation.",
-		func() uint64 { return cacheStats().InflightDedups })
-
 	obs.RegisterRuntimeMetrics(reg)
-}
-
-// registerStoreMetrics mirrors the disk store's JSON counters as
-// Prometheus families. Called only when persistence is on, so an
-// in-memory server's exposition carries no store families at all.
-func (s *Server) registerStoreMetrics() {
-	st := cached(statsCacheTTL, s.store.Stats)
-	reg := s.obs.reg
-	reg.GaugeFunc("penelope_store_entries", "Verified result payloads on disk.",
-		func() float64 { return float64(st().Entries) })
-	reg.GaugeFunc("penelope_store_bytes", "Total result payload bytes held on disk.",
-		func() float64 { return float64(st().Bytes) })
-	reg.GaugeFunc("penelope_store_degraded", "1 while the store is shedding result writes, else 0.",
-		func() float64 {
-			if st().Degraded {
-				return 1
-			}
-			return 0
-		})
-	reg.CounterFunc("penelope_store_hits_total", "Store reads served from disk.",
-		func() uint64 { return st().Hits })
-	reg.CounterFunc("penelope_store_misses_total", "Store reads for keys not held.",
-		func() uint64 { return st().Misses })
-	reg.CounterFunc("penelope_store_quarantined_total", "Corrupt or truncated files set aside instead of served.",
-		func() uint64 { return uint64(st().Quarantined) })
-	reg.CounterFunc("penelope_store_evictions_total", "Results removed by the disk budget or retention policy.",
-		func() uint64 { return st().Evictions })
-	reg.CounterFunc("penelope_store_budget_refusals_total", "Result writes refused because eviction could not free enough budget.",
-		func() uint64 { return st().BudgetRefusals })
-	reg.CounterFunc("penelope_store_write_failures_total", "Result writes that failed in the filesystem.",
-		func() uint64 { return st().WriteFailures })
-}
-
-// registerFleetMetrics mirrors the continuous-operations counters.
-// Called from initFleetops once the scheduler, bus, alerter and (maybe)
-// deliverer exist.
-func (s *Server) registerFleetMetrics() {
-	reg := s.obs.reg
-	sched := cached(statsCacheTTL, s.sched.Stats)
-	reg.GaugeFunc("penelope_fleet_populations", "Registered fleet populations.",
-		func() float64 { return float64(sched().Populations) })
-	reg.GaugeFunc("penelope_fleet_active", "Fleet populations currently active.",
-		func() float64 { return float64(sched().Active) })
-	reg.GaugeFunc("penelope_fleet_quarantined", "Fleet populations currently quarantined.",
-		func() float64 { return float64(sched().Quarantined) })
-	reg.CounterFunc("penelope_fleet_ticks_total", "Fleet scheduler ticks completed.",
-		func() uint64 { return sched().Ticks })
-	reg.CounterFunc("penelope_fleet_tick_failures_total", "Fleet ticks that failed.",
-		func() uint64 { return sched().TickFailures })
-	reg.CounterFunc("penelope_fleet_watchdog_timeouts_total", "Fleet ticks cancelled by the watchdog.",
-		func() uint64 { return sched().WatchdogTimeouts })
-	reg.CounterFunc("penelope_fleet_checkpoint_failures_total", "Fleet checkpoint writes refused or failed.",
-		func() uint64 { return sched().CheckpointFailures })
-
-	gb := cached(statsCacheTTL, s.sched.Guardband)
-	reg.GaugeFunc("penelope_fleet_p99_guardband", "Worst p99 guardband across scheduled populations.",
-		func() float64 { return gb().P99Guardband })
-	reg.GaugeFunc("penelope_fleet_mean_guardband", "Worst mean guardband across scheduled populations.",
-		func() float64 { return gb().MeanGuardband })
-	reg.GaugeFunc("penelope_fleet_violated_fraction", "Worst guardband-violation fraction across scheduled populations.",
-		func() float64 { return gb().ViolatedFraction })
-
-	bus := cached(statsCacheTTL, s.bus.Stats)
-	reg.GaugeFunc("penelope_bus_topics", "Event bus topics.",
-		func() float64 { return float64(bus().Topics) })
-	reg.GaugeFunc("penelope_bus_subscribers", "Event bus subscriptions.",
-		func() float64 { return float64(bus().Subscribers) })
-	reg.CounterFunc("penelope_bus_published_total", "Events published on the bus.",
-		func() uint64 { return bus().Published })
-	reg.CounterFunc("penelope_bus_dropped_total", "Events dropped by full subscriber buffers.",
-		func() uint64 { return bus().Dropped })
-
-	alerts := cached(statsCacheTTL, s.alerter.Stats)
-	reg.CounterFunc("penelope_alerts_evaluated_total", "Alert rule evaluations.",
-		func() uint64 { return alerts().Evaluated })
-	reg.CounterFunc("penelope_alerts_fired_total", "Alerts fired.",
-		func() uint64 { return alerts().Fired })
-
-	if s.deliverer != nil {
-		del := cached(statsCacheTTL, s.deliverer.Stats)
-		reg.GaugeFunc("penelope_alert_queue_depth", "Alert delivery queue depth.",
-			func() float64 { return float64(del().QueueDepth) })
-		reg.CounterFunc("penelope_alert_delivered_total", "Alerts delivered to the sink.",
-			func() uint64 { return del().Delivered })
-		reg.CounterFunc("penelope_alert_retries_total", "Alert delivery retries.",
-			func() uint64 { return del().Retries })
-		reg.CounterFunc("penelope_alert_dead_lettered_total", "Alerts dead-lettered after exhausting retries.",
-			func() uint64 { return del().DeadLettered })
-	}
 }
 
 // route registers a handler wrapped with the per-route latency

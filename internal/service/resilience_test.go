@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -231,6 +232,48 @@ func TestReadinessDegrades(t *testing.T) {
 	}
 	if code := getJSON(t, ts.URL+"/readyz", &r); code != http.StatusOK || r.Status != "ready" {
 		t.Errorf("readyz after drain = %d %q, want 200 ready", code, r.Status)
+	}
+}
+
+// TestReadinessRejectionRate fills the queue and checks /readyz counts
+// each queue-full rejection once. A rejected leader was already counted
+// as submitted, so it belongs in the rate's numerator only.
+func TestReadinessRejectionRate(t *testing.T) {
+	gate := make(chan struct{})
+	defer close(gate)
+	s, ts := newTestServer(t, Config{
+		Workers:    1,
+		QueueDepth: 2,
+		Runner: func(_ context.Context, experiment string, o experiments.Options) (experiments.Result, error) {
+			<-gate
+			return fakeResult{Name: experiment, N: o.TraceLength}, nil
+		},
+	})
+	submit := func(i int) error {
+		_, err := s.submit("c", "fig6", experiments.Options{TraceLength: 1000 + i}, "")
+		return err
+	}
+	// One running leader and two queued ones fill the pool.
+	if err := submit(0); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, func() bool { return s.pool.queueDepth() == 0 })
+	for i := 1; i <= 2; i++ {
+		if err := submit(i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 3; i < 13; i++ {
+		if err := submit(i); !errors.Is(err, errQueueFull) {
+			t.Fatalf("submit %d into a full queue: err = %v, want errQueueFull", i, err)
+		}
+	}
+	var r struct {
+		RejectionRate float64 `json:"rejection_rate"`
+	}
+	getJSON(t, ts.URL+"/readyz", &r)
+	if want := 10.0 / 13; r.RejectionRate != want {
+		t.Fatalf("rejection_rate = %v, want %v (10 rejected of 13 submitted)", r.RejectionRate, want)
 	}
 }
 

@@ -197,23 +197,10 @@ type Server struct {
 	mu       sync.Mutex
 	jobs     map[string]*Job
 	terminal []string // finished job ids, oldest first, for eviction
-	nextID   uint64
-
-	queued  int // jobs currently in StateQueued (O(1) metrics scan)
-	running int // jobs currently in StateRunning
-
-	done      uint64 // jobs finished successfully (cumulative)
-	failed    uint64 // jobs finished with an error (cumulative)
-	rejected  uint64 // submissions dropped because the queue was full
-	retries   uint64 // transient-failure retry attempts
-	panics    uint64 // driver panics recovered into failed jobs
-	timeouts  uint64 // jobs failed by the per-job timeout
-	resumed   uint64 // interrupted jobs resubmitted at boot
-	throttled uint64 // submissions rejected by per-client rate limiting
+	counts   JobStats // Shed lives in the backoff controller
 
 	clients        map[string]*ClientCounters
 	clientOverflow ClientCounters // aggregate beyond the tracked bound
-	untracked      uint64         // requests folded into the overflow cell
 
 	sweeps    map[string]*sweepTrack // in-flight sweeps, for point streaming
 	sweepSeq  uint64
@@ -311,7 +298,7 @@ func New(cfg Config) (*Server, error) {
 		}
 		st.StartScrubber(cfg.ScrubInterval)
 		s.store = st
-		s.registerStoreMetrics()
+		obs.RegisterStats(s.obs.reg, st.Stats)
 	}
 	if s.cfg.Runner == nil {
 		s.cfg.Runner = s.registryRunner
@@ -326,9 +313,10 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// initFleetops wires the continuous-operations layer: the event bus,
+// initFleetops wires the continuous-operations layer — the event bus,
 // the alert pipeline (when a sink is configured), and the self-healing
-// fleet scheduler backed by the disk store's sidecars.
+// fleet scheduler backed by the disk store's sidecars — and registers
+// their stats.
 func (s *Server) initFleetops() {
 	fleetIns := s.fleetInstruments()
 	s.bus = fleetops.NewBus(0)
@@ -368,7 +356,14 @@ func (s *Server) initFleetops() {
 		Workers:            s.cfg.Workers,
 		Instruments:        fleetIns,
 	})
-	s.registerFleetMetrics()
+	reg := s.obs.reg
+	obs.RegisterStats(reg, s.sched.Stats)
+	obs.RegisterStats(reg, s.sched.Guardband)
+	obs.RegisterStats(reg, s.bus.Stats)
+	obs.RegisterStats(reg, s.alerter.Stats)
+	if s.deliverer != nil {
+		obs.RegisterStats(reg, s.deliverer.Stats)
+	}
 }
 
 // recoverFleets re-registers every fleet sidecar found on disk, so a
@@ -440,7 +435,7 @@ func (s *Server) recoverInterrupted() {
 			s.store.RemoveJob(rec.Key)
 		}
 		s.mu.Lock()
-		s.resumed++
+		s.counts.Resumed++
 		s.mu.Unlock()
 		s.logger.Info("resumed interrupted job", "experiment", rec.Experiment, "job", job.ID, "key", job.ResultKey)
 	}
@@ -495,9 +490,9 @@ func (s *Server) submit(client, experiment string, o experiments.Options, sweepI
 	key := ResultKey(experiment, o)
 
 	s.mu.Lock()
-	s.nextID++
+	s.counts.Submitted++
 	job := &Job{
-		ID:         fmt.Sprintf("job-%d", s.nextID),
+		ID:         fmt.Sprintf("job-%d", s.counts.Submitted),
 		Experiment: experiment,
 		Options:    o,
 		Client:     client,
@@ -511,7 +506,7 @@ func (s *Server) submit(client, experiment string, o experiments.Options, sweepI
 	job.trace.Attr("client", client)
 	job.trace.Attr("key", key)
 	s.jobs[job.ID] = job
-	s.queued++
+	s.counts.Queued++
 	s.mu.Unlock()
 
 	entry, leader, ready := s.cache.Acquire(key)
@@ -559,7 +554,7 @@ func (s *Server) submit(client, experiment string, o experiments.Options, sweepI
 		if err := s.pool.submit(client, func() { s.runJob(job, entry) }); err != nil {
 			s.cache.Abandon(entry, err.Error())
 			s.mu.Lock()
-			s.rejected++
+			s.counts.Rejected++
 			s.mu.Unlock()
 			s.finish(job, err, false)
 			return job, err
@@ -581,8 +576,8 @@ var (
 func (s *Server) runJob(job *Job, entry *Entry) {
 	s.mu.Lock()
 	job.State = StateRunning
-	s.queued--
-	s.running++
+	s.counts.Queued--
+	s.counts.Running++
 	s.mu.Unlock()
 
 	// The measured wait feeds both the exported distribution and the
@@ -622,7 +617,7 @@ func (s *Server) runWithRetry(job *Job) ([]byte, error) {
 			return payload, err
 		}
 		s.mu.Lock()
-		s.retries++
+		s.counts.Retries++
 		s.mu.Unlock()
 		backoff := s.cfg.RetryBackoff << attempt
 		if max := 30 * s.cfg.RetryBackoff; backoff > max {
@@ -661,7 +656,7 @@ func (s *Server) runOnce(job *Job) ([]byte, error) {
 		defer func() {
 			if r := recover(); r != nil {
 				s.mu.Lock()
-				s.panics++
+				s.counts.PanicsRecovered++
 				s.mu.Unlock()
 				ch <- outcome{nil, fmt.Errorf("experiment driver panicked: %v", r)}
 			}
@@ -691,7 +686,7 @@ func (s *Server) runOnce(job *Job) ([]byte, error) {
 			return nil, errShuttingDown
 		}
 		s.mu.Lock()
-		s.timeouts++
+		s.counts.Timeouts++
 		s.mu.Unlock()
 		// The runner goroutine may outlive the attempt (it is leaked
 		// until it returns); ctx cancellation asks cooperative drivers
@@ -710,18 +705,18 @@ func (s *Server) finish(job *Job, err error, cacheHit bool) {
 	s.mu.Lock()
 	switch job.State {
 	case StateQueued:
-		s.queued--
+		s.counts.Queued--
 	case StateRunning:
-		s.running--
+		s.counts.Running--
 	}
 	job.CacheHit = job.CacheHit || cacheHit
 	if err != nil {
 		job.State = StateFailed
 		job.Error = err.Error()
-		s.failed++
+		s.counts.Failed++
 	} else {
 		job.State = StateDone
-		s.done++
+		s.counts.Done++
 	}
 	s.terminal = append(s.terminal, job.ID)
 	for len(s.terminal) > s.cfg.RetainJobs {
@@ -798,7 +793,7 @@ func (s *Server) clientCounters(client string) *ClientCounters {
 		// The request is not lost — it aggregates under "~other" — but
 		// its client id is, so count the fold-ins where operators can
 		// see them (untracked_clients in both metrics formats).
-		s.untracked++
+		s.counts.UntrackedClients++
 		return &s.clientOverflow
 	}
 	c := &ClientCounters{}
@@ -817,7 +812,7 @@ func (s *Server) admitClient(client string, units float64) (bool, time.Duration)
 		c.Admitted++
 	} else {
 		c.Throttled++
-		s.throttled++
+		s.counts.Throttled++
 	}
 	s.mu.Unlock()
 	if ok {
@@ -826,22 +821,38 @@ func (s *Server) admitClient(client string, units float64) (bool, time.Duration)
 	return false, s.limiter.retryAfter(client, units)
 }
 
+// JobStats is the jobs section of /metrics: the server's job counters,
+// each also exported as the Prometheus family its tag names.
+type JobStats struct {
+	Submitted       uint64 `json:"submitted" metric:"counter penelope_jobs_submitted_total" help:"Jobs ever submitted (including cache hits and rejected leaders)."`
+	Queued          uint64 `json:"queued" metric:"gauge penelope_jobs_queued" help:"Jobs currently queued."`
+	Running         uint64 `json:"running" metric:"gauge penelope_jobs_running" help:"Jobs currently running."`
+	Done            uint64 `json:"done" metric:"counter penelope_jobs_done_total" help:"Jobs finished successfully."`
+	Failed          uint64 `json:"failed" metric:"counter penelope_jobs_failed_total" help:"Jobs finished with an error."`
+	Rejected        uint64 `json:"rejected" metric:"counter penelope_jobs_rejected_total" help:"Submissions dropped because the queue was full."`
+	Throttled       uint64 `json:"throttled" metric:"counter penelope_jobs_throttled_total" help:"Submissions rejected by per-client rate limiting."`
+	Shed            uint64 `json:"shed" metric:"counter penelope_jobs_shed_total" help:"Submissions dropped by progressive load shedding."`
+	Retries         uint64 `json:"retries" metric:"counter penelope_jobs_retries_total" help:"Transient-failure retry attempts."`
+	PanicsRecovered uint64 `json:"panics_recovered" metric:"counter penelope_jobs_panics_recovered_total" help:"Driver panics recovered into failed jobs."`
+	Timeouts        uint64 `json:"timeouts" metric:"counter penelope_jobs_timeouts_total" help:"Jobs failed by the per-job timeout."`
+	Resumed         uint64 `json:"resumed" metric:"counter penelope_jobs_resumed_total" help:"Interrupted jobs resubmitted at boot."`
+	// UntrackedClients is reported beside the jobs section, as
+	// Metrics.UntrackedClients.
+	UntrackedClients uint64 `json:"-" metric:"counter penelope_untracked_clients_total" help:"Requests attributed to the ~other cell because the per-client counter map was full."`
+}
+
+// jobStats snapshots the job counters.
+func (s *Server) jobStats() JobStats {
+	s.mu.Lock()
+	st := s.counts
+	s.mu.Unlock()
+	st.Shed = s.backoff.shedCount()
+	return st
+}
+
 // Metrics is the /metrics payload.
 type Metrics struct {
-	Jobs struct {
-		Submitted       uint64 `json:"submitted"`
-		Queued          uint64 `json:"queued"`
-		Running         uint64 `json:"running"`
-		Done            uint64 `json:"done"`
-		Failed          uint64 `json:"failed"`
-		Rejected        uint64 `json:"rejected"`
-		Throttled       uint64 `json:"throttled"`
-		Shed            uint64 `json:"shed"`
-		Retries         uint64 `json:"retries"`
-		PanicsRecovered uint64 `json:"panics_recovered"`
-		Timeouts        uint64 `json:"timeouts"`
-		Resumed         uint64 `json:"resumed"`
-	} `json:"jobs"`
+	Jobs    JobStats                  `json:"jobs"`
 	Clients map[string]ClientCounters `json:"clients,omitempty"`
 	// UntrackedClients counts requests folded into the "~other" cell
 	// because the per-client map hit its bound; omitted while zero so
@@ -886,10 +897,12 @@ type FleetMetrics struct {
 
 // QueueStatus describes queue pressure, shared by /metrics and /readyz.
 type QueueStatus struct {
-	Depth     int  `json:"depth"`
-	Capacity  int  `json:"capacity"`
+	Depth     int  `json:"depth" metric:"gauge penelope_queue_depth" help:"Fair-pool queued tasks."`
+	Capacity  int  `json:"capacity" metric:"gauge penelope_queue_capacity" help:"Fair-pool queue bound."`
 	HighWater int  `json:"high_water"`
 	Degraded  bool `json:"degraded"`
+	// Workers is reported beside the queue, as Metrics.Workers.
+	Workers int `json:"-" metric:"gauge penelope_workers" help:"Worker pool size."`
 }
 
 // queueStatus snapshots queue pressure. The depth is a counter read,
@@ -899,6 +912,7 @@ func (s *Server) queueStatus() QueueStatus {
 		Depth:     s.pool.queueDepth(),
 		Capacity:  s.cfg.QueueDepth,
 		HighWater: int(s.cfg.HighWater * float64(s.cfg.QueueDepth)),
+		Workers:   s.cfg.Workers,
 	}
 	q.Degraded = q.HighWater > 0 && q.Depth >= q.HighWater
 	return q
@@ -908,19 +922,9 @@ func (s *Server) queueStatus() QueueStatus {
 // and running are O(1) counter reads — the retained-job map is never
 // scanned.
 func (s *Server) metrics() Metrics {
-	var m Metrics
+	m := Metrics{Jobs: s.jobStats()}
+	m.UntrackedClients = m.Jobs.UntrackedClients
 	s.mu.Lock()
-	m.Jobs.Submitted = s.nextID
-	m.Jobs.Queued = uint64(s.queued)
-	m.Jobs.Running = uint64(s.running)
-	m.Jobs.Rejected = s.rejected
-	m.Jobs.Throttled = s.throttled
-	m.Jobs.Done = s.done
-	m.Jobs.Failed = s.failed
-	m.Jobs.Retries = s.retries
-	m.Jobs.PanicsRecovered = s.panics
-	m.Jobs.Timeouts = s.timeouts
-	m.Jobs.Resumed = s.resumed
 	if len(s.clients) > 0 {
 		m.Clients = make(map[string]ClientCounters, len(s.clients)+1)
 		for name, c := range s.clients {
@@ -930,9 +934,8 @@ func (s *Server) metrics() Metrics {
 			m.Clients["~other"] = s.clientOverflow
 		}
 	}
-	m.UntrackedClients = s.untracked
+	m.Fleet.ResumedBoot = s.fleetBoot
 	s.mu.Unlock()
-	m.Jobs.Shed = s.backoff.shedCount()
 	m.Cache = s.cache.Stats()
 	if s.store != nil {
 		st := s.store.Stats()
@@ -944,9 +947,6 @@ func (s *Server) metrics() Metrics {
 	m.Fleet.Quarantined = s.sched.Quarantined()
 	m.Fleet.Bus = s.bus.Stats()
 	m.Fleet.Alerts = s.alerter.Stats()
-	s.mu.Lock()
-	m.Fleet.ResumedBoot = s.fleetBoot
-	s.mu.Unlock()
 	if s.deliverer != nil {
 		d := s.deliverer.Stats()
 		m.Fleet.Delivery = &d
@@ -1050,14 +1050,12 @@ type readiness struct {
 // during shutdown.
 func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 	q := s.queueStatus()
-	s.mu.Lock()
-	accepted := s.nextID
-	refused := s.rejected + s.throttled
-	s.mu.Unlock()
-	refused += s.backoff.shedCount()
+	// Every submission that reached submit counts in Submitted, queue-full
+	// rejections included; throttled and shed requests never got that far.
+	jobs := s.jobStats()
 	rate := 0.0
-	if total := accepted + refused; total > 0 {
-		rate = float64(refused) / float64(total)
+	if total := jobs.Submitted + jobs.Throttled + jobs.Shed; total > 0 {
+		rate = float64(jobs.Rejected+jobs.Throttled+jobs.Shed) / float64(total)
 	}
 	body := readiness{Status: "ready", Queue: q, RejectionRate: rate,
 		Fleets: s.sched.Stats(), QuarantinedFleets: s.sched.Quarantined()}

@@ -58,19 +58,19 @@ var ErrBudget = errors.New("store: result budget exhausted")
 // Stats are the store counters surfaced through /metrics.
 type Stats struct {
 	// Entries is the number of verified result payloads on disk.
-	Entries int `json:"entries"`
+	Entries int `json:"entries" metric:"gauge penelope_store_entries" help:"Verified result payloads on disk."`
 	// Bytes is the total payload size held (frame overhead excluded).
-	Bytes int64 `json:"bytes"`
+	Bytes int64 `json:"bytes" metric:"gauge penelope_store_bytes" help:"Total result payload bytes held on disk."`
 	// BudgetBytes is the configured result-cache budget (0 = none).
 	BudgetBytes int64 `json:"budget_bytes,omitempty"`
 	// Hits counts Get calls served from disk; Misses counts Get calls
 	// for keys the store does not hold.
-	Hits   uint64 `json:"hits"`
-	Misses uint64 `json:"misses"`
+	Hits   uint64 `json:"hits" metric:"counter penelope_store_hits_total" help:"Store reads served from disk."`
+	Misses uint64 `json:"misses" metric:"counter penelope_store_misses_total" help:"Store reads for keys not held."`
 	// Quarantined counts corrupt or truncated files set aside (renamed
 	// to *.quarantine) at boot, on read, or by the scrubber, instead of
 	// being served.
-	Quarantined int `json:"quarantined"`
+	Quarantined int `json:"quarantined" metric:"counter penelope_store_quarantined_total" help:"Corrupt or truncated files set aside instead of served."`
 	// QuarantineFailures counts quarantine renames that themselves
 	// failed: the corrupt file could not be set aside (it stays
 	// excluded from the index either way).
@@ -87,17 +87,17 @@ type Stats struct {
 	// Evictions counts results removed by the disk budget or the
 	// retention policy; EvictedBytes is their payload volume and
 	// Expired the subset evicted by retention age alone.
-	Evictions    uint64 `json:"evictions"`
+	Evictions    uint64 `json:"evictions" metric:"counter penelope_store_evictions_total" help:"Results removed by the disk budget or retention policy."`
 	EvictedBytes int64  `json:"evicted_bytes"`
 	Expired      uint64 `json:"expired"`
 	// BudgetRefusals counts result writes refused because eviction
 	// could not bring the store under budget; WriteFailures counts
 	// result writes that failed in the filesystem itself.
-	BudgetRefusals uint64 `json:"budget_refusals"`
-	WriteFailures  uint64 `json:"write_failures"`
+	BudgetRefusals uint64 `json:"budget_refusals" metric:"counter penelope_store_budget_refusals_total" help:"Result writes refused because eviction could not free enough budget."`
+	WriteFailures  uint64 `json:"write_failures" metric:"counter penelope_store_write_failures_total" help:"Result writes that failed in the filesystem."`
 	// Degraded reports the store is shedding result writes; it clears
 	// when a result write succeeds again.
-	Degraded bool `json:"degraded"`
+	Degraded bool `json:"degraded" metric:"gauge penelope_store_degraded" help:"1 while the store is shedding result writes, else 0."`
 
 	// Scrub counters: completed passes, frames re-verified, and frames
 	// the scrubber found rotten and quarantined.
@@ -173,26 +173,12 @@ type Store struct {
 	ckpts   string
 	fleets  string
 
-	mu       sync.Mutex
-	index    map[string]*list.Element // key -> element holding *entry
-	lru      *list.List               // front = least recently used
-	bytes    int64
-	hits     uint64
-	misses   uint64
-	quarant  int
-	jobFiles int
-
-	degraded       bool
-	evictions      uint64
-	evictedBytes   int64
-	expired        uint64
-	budgetRefused  uint64
-	writeFailures  uint64
-	quarantFail    uint64
-	dirsyncFail    uint64
-	scrubPasses    uint64
-	scrubChecked   uint64
-	scrubCorrupt   uint64
+	mu    sync.Mutex
+	index map[string]*list.Element // key -> element holding *entry
+	lru   *list.List               // front = least recently used
+	// st holds the counters; Stats fills in Entries, BudgetBytes and
+	// Fleets.
+	st             Stats
 	loggedQuarFail bool
 	loggedDirsync  bool
 	loggedBudget   bool
@@ -284,10 +270,10 @@ func OpenConfig(cfg Config) (*Store, error) {
 	for _, f := range found {
 		ent := f.ent
 		s.index[ent.key] = s.lru.PushBack(&ent)
-		s.bytes += ent.size
+		s.st.Bytes += ent.size
 	}
 	s.enforceRetentionLocked()
-	if s.cfg.Budget > 0 && s.bytes > s.cfg.Budget {
+	if s.cfg.Budget > 0 && s.st.Bytes > s.cfg.Budget {
 		s.shedLocked(s.lowWater(), "")
 	}
 
@@ -302,7 +288,7 @@ func OpenConfig(cfg Config) (*Store, error) {
 			case strings.HasPrefix(name, ".tmp-"):
 				s.fs.Remove(filepath.Join(scan, name))
 			case scan == s.ckpts && strings.HasSuffix(name, jobExt):
-				s.jobFiles++
+				s.st.Checkpoints++
 			}
 		}
 	}
@@ -366,12 +352,12 @@ func (s *Store) Put(key string, payload []byte) (err error) {
 		if el, ok := s.index[key]; ok {
 			existing = el.Value.(*entry).size
 		}
-		if s.bytes-existing+size > s.cfg.Budget {
+		if s.st.Bytes-existing+size > s.cfg.Budget {
 			s.shedLocked(s.lowWater()-(size-existing), key)
 		}
-		if s.bytes-existing+size > s.cfg.Budget {
-			s.budgetRefused++
-			s.degraded = true
+		if s.st.Bytes-existing+size > s.cfg.Budget {
+			s.st.BudgetRefusals++
+			s.st.Degraded = true
 			if !s.loggedBudget {
 				s.loggedBudget = true
 				s.logger.Warn("shedding result writes: payload will not fit the budget (logged once)",
@@ -390,21 +376,21 @@ func (s *Store) Put(key string, payload []byte) (err error) {
 	defer s.mu.Unlock()
 	s.noteDirsyncLocked(synced, err)
 	if err != nil {
-		s.writeFailures++
-		s.degraded = true
+		s.st.WriteFailures++
+		s.st.Degraded = true
 		return fmt.Errorf("store: writing %s: %w", key, err)
 	}
 	if el, ok := s.index[key]; ok {
 		old := el.Value.(*entry)
-		s.bytes -= old.size
+		s.st.Bytes -= old.size
 		old.size = size
 		old.lastUse = s.now()
 		s.lru.MoveToBack(el)
 	} else {
 		s.index[key] = s.lru.PushBack(&entry{key, size, s.now()})
 	}
-	s.bytes += size
-	s.degraded = false
+	s.st.Bytes += size
+	s.st.Degraded = false
 	return nil
 }
 
@@ -415,7 +401,7 @@ func (s *Store) Get(key string) ([]byte, bool) {
 	s.mu.Lock()
 	_, ok := s.index[key]
 	if !ok {
-		s.misses++
+		s.st.Misses++
 		s.mu.Unlock()
 		return nil, false
 	}
@@ -433,14 +419,14 @@ func (s *Store) Get(key string) ([]byte, bool) {
 			s.quarantineLocked(path, err)
 			s.dropLocked(el)
 		}
-		s.misses++
+		s.st.Misses++
 		return nil, false
 	}
 	if ok {
 		el.Value.(*entry).lastUse = s.now()
 		s.lru.MoveToBack(el)
 	}
-	s.hits++
+	s.st.Hits++
 	return payload, true
 }
 
@@ -469,13 +455,13 @@ func (s *Store) Keys() []string {
 func (s *Store) Degraded() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.degraded
+	return s.st.Degraded
 }
 
 // dropLocked removes an entry from the index without touching disk.
 func (s *Store) dropLocked(el *list.Element) {
 	ent := el.Value.(*entry)
-	s.bytes -= ent.size
+	s.st.Bytes -= ent.size
 	s.lru.Remove(el)
 	delete(s.index, ent.key)
 }
@@ -486,10 +472,10 @@ func (s *Store) dropLocked(el *list.Element) {
 // what this process will serve.
 func (s *Store) evictLocked(el *list.Element, expired bool) {
 	ent := el.Value.(*entry)
-	s.evictions++
-	s.evictedBytes += ent.size
+	s.st.Evictions++
+	s.st.EvictedBytes += ent.size
 	if expired {
-		s.expired++
+		s.st.Expired++
 	}
 	s.dropLocked(el)
 	s.fs.Remove(filepath.Join(s.results, ent.key+resultExt))
@@ -500,7 +486,7 @@ func (s *Store) evictLocked(el *list.Element, expired bool) {
 // evicted; checkpoints and fleet sidecars live outside this index and
 // are untouchable by construction.
 func (s *Store) shedLocked(target int64, exclude string) {
-	for el := s.lru.Front(); el != nil && s.bytes > target; {
+	for el := s.lru.Front(); el != nil && s.st.Bytes > target; {
 		next := el.Next()
 		if el.Value.(*entry).key != exclude {
 			s.evictLocked(el, false)
@@ -541,7 +527,7 @@ func (s *Store) Scrub() ScrubReport {
 	var rep ScrubReport
 	defer func() { s.ins.observeScrub(start, rep) }()
 	s.mu.Lock()
-	expiredBefore := s.expired
+	expiredBefore := s.st.Expired
 	s.enforceRetentionLocked()
 	keys := make([]string, 0, len(s.index))
 	for k := range s.index {
@@ -562,20 +548,20 @@ func (s *Store) Scrub() ScrubReport {
 		if err != nil {
 			s.quarantineLocked(path, err)
 			s.dropLocked(el)
-			s.scrubCorrupt++
+			s.st.ScrubCorrupt++
 			rep.Corrupt++
 		} else {
-			s.scrubChecked++
+			s.st.ScrubChecked++
 			rep.Checked++
 		}
 		s.mu.Unlock()
 	}
 	s.mu.Lock()
-	if s.cfg.Budget > 0 && s.bytes > s.cfg.Budget {
+	if s.cfg.Budget > 0 && s.st.Bytes > s.cfg.Budget {
 		s.shedLocked(s.lowWater(), "")
 	}
-	s.scrubPasses++
-	rep.Expired = int(s.expired - expiredBefore)
+	s.st.ScrubPasses++
+	rep.Expired = int(s.st.Expired - expiredBefore)
 	s.mu.Unlock()
 	return rep
 }
@@ -642,7 +628,7 @@ func (s *Store) PutJobRecord(rec JobRecord) error {
 		return fmt.Errorf("store: writing job record %s: %w", rec.Key, err)
 	}
 	if !existed {
-		s.jobFiles++
+		s.st.Checkpoints++
 	}
 	return nil
 }
@@ -672,7 +658,7 @@ func (s *Store) JobRecords() []JobRecord {
 		if err != nil {
 			s.mu.Lock()
 			s.quarantineLocked(path, err)
-			s.jobFiles--
+			s.st.Checkpoints--
 			s.mu.Unlock()
 			continue
 		}
@@ -688,7 +674,7 @@ func (s *Store) RemoveJob(key string) {
 	defer s.mu.Unlock()
 	jobPath := filepath.Join(s.ckpts, key+jobExt)
 	if _, err := s.fs.Stat(jobPath); err == nil {
-		s.jobFiles--
+		s.st.Checkpoints--
 	}
 	s.fs.Remove(jobPath)
 	ckpt := filepath.Join(s.ckpts, key+ckptExt)
@@ -826,27 +812,11 @@ func (s *Store) Stats() Stats {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return Stats{
-		Entries:            len(s.index),
-		Bytes:              s.bytes,
-		BudgetBytes:        s.cfg.Budget,
-		Hits:               s.hits,
-		Misses:             s.misses,
-		Quarantined:        s.quarant,
-		QuarantineFailures: s.quarantFail,
-		DirsyncFailures:    s.dirsyncFail,
-		Checkpoints:        s.jobFiles,
-		Fleets:             fleetCount,
-		Evictions:          s.evictions,
-		EvictedBytes:       s.evictedBytes,
-		Expired:            s.expired,
-		BudgetRefusals:     s.budgetRefused,
-		WriteFailures:      s.writeFailures,
-		Degraded:           s.degraded,
-		ScrubPasses:        s.scrubPasses,
-		ScrubChecked:       s.scrubChecked,
-		ScrubCorrupt:       s.scrubCorrupt,
-	}
+	st := s.st
+	st.Entries = len(s.index)
+	st.BudgetBytes = s.cfg.Budget
+	st.Fleets = fleetCount
+	return st
 }
 
 // noteDirsync counts a failed directory sync behind a successful
@@ -861,7 +831,7 @@ func (s *Store) noteDirsyncLocked(synced bool, writeErr error) {
 	if synced || writeErr != nil {
 		return
 	}
-	s.dirsyncFail++
+	s.st.DirsyncFailures++
 	if !s.loggedDirsync {
 		s.loggedDirsync = true
 		s.logger.Warn("directory sync failed after rename; rename durability uncertain (counted; logged once)")
@@ -874,10 +844,10 @@ func (s *Store) noteDirsyncLocked(synced bool, writeErr error) {
 // index either way, so the corruption is still never served. Callers
 // hold s.mu.
 func (s *Store) quarantineLocked(path string, cause error) {
-	s.quarant++
+	s.st.Quarantined++
 	s.logger.Warn("quarantining corrupt file", "path", path, "cause", cause)
 	if err := s.fs.Rename(path, path+".quarantine"); err != nil {
-		s.quarantFail++
+		s.st.QuarantineFailures++
 		if !s.loggedQuarFail {
 			s.loggedQuarFail = true
 			s.logger.Error("quarantine rename failed (counted; logged once)", "error", err)

@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"penelope/internal/store/vfs"
 )
 
 func key(i int) string { return fmt.Sprintf("%032x", i+1) }
@@ -205,5 +207,57 @@ func TestJobRecordsRoundtrip(t *testing.T) {
 	}
 	if got := s2.Stats().Checkpoints; got != 0 {
 		t.Errorf("checkpoint count = %d after RemoveJob, want 0", got)
+	}
+}
+
+// TestRemoveFleet checks deregistration clears a fleet's sidecar, its
+// checkpoint and a leftover checkpoint temp file, leaves other fleets
+// alone, and ignores invalid names — including one that would resolve
+// to another fleet's files if it were joined into a path unchecked.
+func TestRemoveFleet(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"pop-a", "pop-b"} {
+		if err := s.PutFleet(name, []byte(`{"name":"`+name+`"}`)); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.WriteFleetCheckpoint(name, []byte("engine "+name)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tmp := vfs.TempName(s.FleetCheckpointPath("pop-a"))
+	if err := os.WriteFile(tmp, []byte("torn"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	sidecar := filepath.Join(filepath.Dir(s.FleetCheckpointPath("pop-a")), "pop-a"+fleetExt)
+	for _, path := range []string{sidecar, s.FleetCheckpointPath("pop-a"), tmp} {
+		if _, err := os.Stat(path); err != nil {
+			t.Fatalf("setup: %v", err)
+		}
+	}
+
+	s.RemoveFleet("pop-a")
+	for _, path := range []string{sidecar, s.FleetCheckpointPath("pop-a"), tmp} {
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Errorf("%s survived RemoveFleet (stat err %v)", filepath.Base(path), err)
+		}
+	}
+	if _, ok := s.ReadFleetCheckpoint("pop-a"); ok {
+		t.Error("removed fleet still has a checkpoint")
+	}
+
+	for _, bad := range []string{"../fleets/pop-b", "POP-B", "", "-pop-b"} {
+		s.RemoveFleet(bad)
+	}
+	if recs := s.Fleets(); len(recs) != 1 || recs[0].Name != "pop-b" {
+		t.Fatalf("fleets after removals = %+v, want only pop-b", recs)
+	}
+	if data, ok := s.ReadFleetCheckpoint("pop-b"); !ok || string(data) != "engine pop-b" {
+		t.Fatalf("pop-b checkpoint = %q, %v", data, ok)
+	}
+	if got := s.Stats().Fleets; got != 1 {
+		t.Errorf("stats fleets = %d, want 1", got)
 	}
 }

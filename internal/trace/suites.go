@@ -199,18 +199,6 @@ func jitter(p Profile, rng *rand.Rand) Profile {
 	return p
 }
 
-// AllTraces instantiates the full 531-trace workload with the given
-// replay length per trace.
-func AllTraces(length int) []*Trace {
-	var out []*Trace
-	for _, s := range suites {
-		for i := 0; i < s.Count; i++ {
-			out = append(out, NewTrace(s.ID, i, length))
-		}
-	}
-	return out
-}
-
 // SampleTraces returns every stride-th trace of the workload, preserving
 // suite mix, for quicker experiments. Stride must be positive.
 func SampleTraces(length, stride int) []*Trace {
